@@ -1,7 +1,7 @@
 //! raidx-analyze — parser-based whole-workspace static analysis.
 //!
 //! Dependency-free lexer + item-level parser over the workspace's Rust
-//! sources, plus the rule families run by verify pass 11
+//! sources, plus the rule families run by verify pass 10
 //! (`static-analysis`):
 //!
 //! 1. `determinism` — scope-aware nondeterminism hazards (clock/entropy
@@ -200,8 +200,8 @@ pub fn analyze_files(files: &[SourceFile]) -> Vec<Finding> {
     findings
 }
 
-/// Should this directory be descended into? Mirrors the historical
-/// source_scan walk: production `src/` trees only.
+/// Should this directory be descended into? Production `src/` trees
+/// only.
 fn skip_dir(name: &str) -> bool {
     matches!(name, "target" | "tests" | "benches" | ".git" | "results")
 }

@@ -18,7 +18,7 @@ fn findings_for(src: &str) -> Vec<String> {
 
 #[test]
 fn raw_strings_with_hash_depths_hide_hazards_and_acks() {
-    // Hazard text and even an ack marker inside raw strings are inert.
+    // A hazard's text and even an ack marker inside raw strings are inert.
     let src = r####"
 fn f() -> (&'static str, &'static str) {
     let a = r#"Instant::now() inside raw "text""#;

@@ -16,7 +16,7 @@
 //! into [`raidx_verify::perf_smoke`] so the baseline writer and the
 //! verify gate can never drift apart; the `zipf_cache` row likewise
 //! calls [`raidx_verify::cache_coherence::zipf_cache_work`], whose
-//! hit-rate/speedup counters verify pass 13 gates directly. On top of the scenario table the
+//! hit-rate/speedup counters verify pass 12 gates directly. On top of the scenario table the
 //! harness measures profiler-on overhead against the same workload and
 //! snapshots a per-phase host attribution ([`sim_core::ProfReport`]) for
 //! the Perfetto host-track export.
@@ -177,7 +177,7 @@ fn scenario_list(smoke: bool) -> Vec<Scenario> {
         name: cache_coherence::ZIPF_NAME,
         rate: "cache_hits",
         // Cached + uncached runs of the shared Zipf read workload; the
-        // hit-rate and speedup counters are what verify pass 13 gates.
+        // hit-rate and speedup counters are what verify pass 12 gates.
         run: Box::new(cache_coherence::zipf_cache_work),
     });
     if !smoke {

@@ -33,7 +33,7 @@ pub struct PendingImage {
 /// back to the caller to flush as one long sequential write. Iteration
 /// and drain order follow the group key order (a `BTreeMap`), so the
 /// background plan is deterministic across engine instances — the
-/// determinism audit diffs two same-seed runs event for event.
+/// trace-determinism pass diffs two same-seed runs event for event.
 #[derive(Debug, Default)]
 pub struct ImageQueue {
     groups: std::collections::BTreeMap<u64, Vec<PendingImage>>,

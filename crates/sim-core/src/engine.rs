@@ -322,19 +322,7 @@ impl Engine {
     /// background tasks) has completed.
     pub fn run(&mut self) -> Result<RunReport, DeadlockError> {
         while let Some(Reverse(ev)) = self.events.pop() {
-            debug_assert!(ev.time >= self.now, "time went backwards");
-            self.now = ev.time;
-            self.stats.on_event();
-            if let Some(p) = self.prof.as_mut() {
-                p.event_begin();
-            }
-            match ev.kind {
-                EventKind::Resume(t) | EventKind::StartJob(t) => self.advance(t),
-                EventKind::ResourceDone(r) => self.resource_done(r),
-            }
-            if let Some(p) = self.prof.as_mut() {
-                p.event_end();
-            }
+            self.dispatch(ev);
         }
         if self.live_total > 0 {
             return Err(DeadlockError { at: self.now, detail: self.diagnose_stall() });
@@ -354,22 +342,28 @@ impl Engine {
         assert!(t >= self.now, "cannot run into the past");
         while self.events.peek().is_some_and(|Reverse(ev)| ev.time <= t) {
             let Reverse(ev) = self.events.pop().expect("peeked event vanished"); // lint-ok(no-unwrap): peek on the same non-empty heap one line up
-            debug_assert!(ev.time >= self.now, "time went backwards");
-            self.now = ev.time;
-            self.stats.on_event();
-            if let Some(p) = self.prof.as_mut() {
-                p.event_begin();
-            }
-            match ev.kind {
-                EventKind::Resume(task) | EventKind::StartJob(task) => self.advance(task),
-                EventKind::ResourceDone(r) => self.resource_done(r),
-            }
-            if let Some(p) = self.prof.as_mut() {
-                p.event_end();
-            }
+            self.dispatch(ev);
         }
         self.now = t;
         self.now
+    }
+
+    /// Process one popped event: advance the clock to it, count it, and
+    /// hand it to its handler inside the profiler's event bracket.
+    fn dispatch(&mut self, ev: Event) {
+        debug_assert!(ev.time >= self.now, "time went backwards");
+        self.now = ev.time;
+        self.stats.on_event();
+        if let Some(p) = self.prof.as_mut() {
+            p.event_begin();
+        }
+        match ev.kind {
+            EventKind::Resume(task) | EventKind::StartJob(task) => self.advance(task),
+            EventKind::ResourceDone(r) => self.resource_done(r),
+        }
+        if let Some(p) = self.prof.as_mut() {
+            p.event_end();
+        }
     }
 
     /// Multiply every *subsequent* service time on `id` by `factor`

@@ -59,6 +59,7 @@
 
 use std::collections::BTreeMap;
 
+use crate::rng::{fnv1a, FNV1A_OFFSET};
 use crate::time::SimTime;
 use crate::trace::{AccessKind, DemandKind, TimedEvent, TraceEvent};
 
@@ -299,21 +300,12 @@ impl HbAnalysis {
     /// of identical streams must agree bit-for-bit (the detector's own
     /// determinism is audited by the `race-detect` verify pass).
     pub fn fingerprint(&self) -> u64 {
-        const OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
-        const PRIME: u64 = 0x0000_0100_0000_01b3;
-        let mut h = OFFSET;
-        let mut eat = |bytes: &[u8]| {
-            for &b in bytes {
-                h ^= u64::from(b);
-                h = h.wrapping_mul(PRIME);
-            }
-        };
+        let mut h = FNV1A_OFFSET;
         for v in &self.violations {
-            eat(v.to_string().as_bytes());
-            eat(b"\n");
+            h = fnv1a(fnv1a(h, v.to_string().as_bytes()), b"\n");
         }
         for n in [self.events as u64, self.accesses as u64, self.actors as u64] {
-            eat(&n.to_le_bytes());
+            h = fnv1a(h, &n.to_le_bytes());
         }
         h
     }

@@ -63,7 +63,7 @@ pub use metrics::{Histogram, MetricsRegistry, TimeSeries};
 pub use plan::{BarrierId, Plan};
 pub use prof::{EngineStats, HostProfiler, Phase, PhaseStat, ProfReport};
 pub use resource::{FixedRate, ResourceId, ResourceStats, ServiceModel};
-pub use rng::SplitMix64;
+pub use rng::{fnv1a, SplitMix64, FNV1A_OFFSET};
 pub use time::{SimDuration, SimTime};
 pub use trace::{
     AccessKind, DemandKind, EventLog, NoopTracer, TimedEvent, TraceEvent, TracePoint, Tracer,

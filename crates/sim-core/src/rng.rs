@@ -4,7 +4,8 @@
 //! file sizes, request jitter) derives its stream from an explicit seed, so a
 //! given configuration always reproduces the same run. This module provides a
 //! tiny, allocation-free SplitMix64 generator for hot paths plus a helper for
-//! deriving independent substreams.
+//! deriving independent substreams, and the FNV-1a hasher every seed
+//! derivation and run fingerprint in the workspace shares.
 
 /// SplitMix64: tiny, fast, decent-quality deterministic generator.
 ///
@@ -56,6 +57,20 @@ impl SplitMix64 {
     }
 }
 
+/// Starting value of every [`fnv1a`] chain: the FNV-1a 64 offset basis,
+/// i.e. the hash of no bytes.
+pub const FNV1A_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
+
+/// Fold `bytes` into the FNV-1a (64-bit) hash `hash`: a stable,
+/// platform-independent byte hash. Start from [`FNV1A_OFFSET`]; chained
+/// calls hash the concatenation. Derives property-test seeds from test
+/// names ([`crate::check`]) and fingerprints run outputs (happens-before
+/// findings, engine aggregates, trace streams), so every committed seed
+/// and fingerprint depends on it staying the standard FNV-1a 64.
+pub fn fnv1a(hash: u64, bytes: &[u8]) -> u64 {
+    bytes.iter().fold(hash, |h, &b| (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3))
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -93,6 +108,14 @@ mod tests {
         for _ in 0..1000 {
             assert!(g.next_below(13) < 13);
         }
+    }
+
+    #[test]
+    fn fnv1a_matches_standard_vectors() {
+        assert_eq!(fnv1a(FNV1A_OFFSET, b""), 0xcbf29ce484222325);
+        assert_eq!(fnv1a(FNV1A_OFFSET, b"a"), 0xaf63dc4c8601ec8c);
+        assert_eq!(fnv1a(FNV1A_OFFSET, b"foobar"), 0x85944171f73967e8);
+        assert_eq!(fnv1a(fnv1a(FNV1A_OFFSET, b"foo"), b"bar"), 0x85944171f73967e8);
     }
 
     #[test]

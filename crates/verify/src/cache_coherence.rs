@@ -1,4 +1,4 @@
-//! Pass 13 — `cache-coherence`: the client block cache's correctness
+//! Pass 12 — `cache-coherence`: the client block cache's correctness
 //! and payoff gate.
 //!
 //! The cache ([`cdd::cache`]) must be *invisible* to correctness and

@@ -1,4 +1,4 @@
-//! Pass 9 — fault-injection sweep.
+//! Pass 8 — fault-injection sweep.
 //!
 //! Enumerates single-fault injection points across every architecture
 //! and asserts the two properties the fault subsystem promises:

@@ -1,4 +1,4 @@
-//! Pass 6 — Wing–Gong linearizability checking of SIOS histories.
+//! Pass 5 — Wing–Gong linearizability checking of SIOS histories.
 //!
 //! The model checker records every completed group read/write with its
 //! real-time invocation/response window ([`cdd::proto::OpRecord`]). This

@@ -1,4 +1,4 @@
-//! Pass 5 — `raidx-model`: exhaustive interleaving exploration of CDD
+//! Pass 4 — `raidx-model`: exhaustive interleaving exploration of CDD
 //! lock-protocol scenarios.
 //!
 //! Each scenario from [`cdd::proto`] is a small multi-client program over

@@ -1,4 +1,4 @@
-//! Pass 12 — `perf-smoke`: the engine-performance regression gate.
+//! Pass 11 — `perf-smoke`: the engine-performance regression gate.
 //!
 //! Wall-clock benchmarks cannot gate CI (they measure the host, not the
 //! code), so this pass gates what *is* deterministic: the engine's work

@@ -1,6 +1,6 @@
-//! Pass 10 — happens-before race detection and commutativity audit.
+//! Pass 9 — happens-before race detection and commutativity audit.
 //!
-//! The model checker (pass 5) proves ordering properties exhaustively on
+//! The model checker (pass 4) proves ordering properties exhaustively on
 //! tiny scenarios; this pass scales the same concern to full-size runs.
 //! It records the merged engine + protocol trace of a seeded scripted
 //! workload (one [`sim_core::EventLog`] clone installed in both the
@@ -41,8 +41,8 @@ use sim_core::trace::{AccessKind, EventLog, TimedEvent, TraceEvent};
 use sim_core::{FaultPlan, HbAnalysis, HbOptions, SimTime, ViolationKind};
 use workloads::op_script::{gen_script, run_script};
 
-use crate::determinism::engine_fingerprint;
 use crate::report::PassReport;
+use crate::trace_determinism::engine_fingerprint;
 
 /// Script shape shared by every run of the pass.
 const CLIENTS: usize = 4;
@@ -81,7 +81,7 @@ fn transient_plan(inject_at: usize, repair_at: usize) -> FaultPlan<FaultEvent> {
 
 /// One seeded scripted run: `traced` installs a shared [`EventLog`] in
 /// both the engine and the I/O system; `faulted` attaches the transient
-/// outage fault plan. Same arguments ⇒ same behavior (pass 8 property).
+/// outage fault plan. Same arguments ⇒ same behavior (pass 7 property).
 fn scripted_run(arch: Arch, nops: usize, traced: bool, faulted: bool) -> RunResult {
     let (mut engine, mut sys) = cdd::testkit::shape(4, 2, 8 << 20, arch);
     let log = EventLog::new();

@@ -1,4 +1,4 @@
-//! Pass 11 — parser-based whole-workspace static analysis.
+//! Pass 10 — parser-based whole-workspace static analysis.
 //!
 //! Drives [`raidx_analyze`] over every production source file under
 //! `crates/` and reports each finding as a spanned check: acknowledged
@@ -9,7 +9,7 @@
 //! safety-critical enums, cdd lock-grant discipline, and the hygiene
 //! gates (module size, `unwrap`/`expect`, missing pub docs).
 //!
-//! In the house style of passes 2–10, the pass first proves each family
+//! In the house style of passes 2–9, the pass first proves each family
 //! can still detect a planted defect: every canary snippet below is
 //! analyzed in memory and must produce (or, for the clean twins, not
 //! produce) its expected finding.

@@ -49,7 +49,7 @@ echo "==> perf --smoke (harness self-check, outputs under target/)"
 # --out keeps the quick run away from the committed baseline.
 cargo run --release -p bench --bin perf -- --smoke --out target/perf-smoke
 
-echo "==> verify_all (plan lint, lock order, layout, determinism, model check, linearizability, crash consistency, trace determinism, fault sweep, race detect, static analysis, perf smoke, cache coherence)"
+echo "==> verify_all (plan lint, lock order, layout, model check, linearizability, crash consistency, trace determinism, fault sweep, race detect, static analysis, perf smoke, cache coherence)"
 # --budget bounds schedules explored per model-checking scenario and
 # --smoke shrinks the fault-injection sweep to its CI subset, so the
 # gate stays fast even as scenarios grow.

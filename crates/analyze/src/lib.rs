@@ -13,7 +13,7 @@
 //!    announced somewhere in the workspace.
 //! 3. `wildcard-match` — `_` / binding-wildcard arms are banned in
 //!    matches over safety-critical enums (`IoError`, `FaultEvent`,
-//!    `TracePoint`, `ReadSource`).
+//!    `ReadSource`).
 //! 4. `lock-discipline` — in `crates/cdd`, every function that acquires
 //!    a lock-group grant must release/surrender it on all paths or
 //!    return the handle.

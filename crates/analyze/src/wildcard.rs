@@ -1,15 +1,15 @@
 //! Rule family 3 — wildcard arms over safety-critical enums.
 //!
 //! A `_` (or bare-binding) arm in a match over `cdd::error::IoError`,
-//! `sim_core::fault::FaultEvent`, `sim_core::trace::TracePoint` or the
-//! cdd `ReadSource` silently swallows every variant added later —
-//! exactly the enums where a new fault kind or read path must force
-//! every handler to be revisited. This rule bans them: matches are
-//! classified as safety-critical when any arm pattern names one of
-//! those enums as a path (`IoError::…`), and a critical match may not
-//! contain an arm whose whole pre-guard pattern is `_` or a plain
-//! binding identifier. Test-scope matches are exempt, and `matches!`
-//! macro uses are out of scope (they cannot grow arms).
+//! `sim_core::fault::FaultEvent` or the cdd `ReadSource` silently
+//! swallows every variant added later — exactly the enums where a new
+//! fault kind or read path must force every handler to be revisited.
+//! This rule bans them: matches are classified as safety-critical when
+//! any arm pattern names one of those enums as a path (`IoError::…`),
+//! and a critical match may not contain an arm whose whole pre-guard
+//! pattern is `_` or a plain binding identifier. Test-scope matches
+//! are exempt, and `matches!` macro uses are out of scope (they cannot
+//! grow arms).
 
 use crate::lexer::{TokKind, Token};
 use crate::matchexpr::find_matches;
@@ -19,7 +19,7 @@ use crate::{Finding, ParsedFile};
 pub const RULE: &str = "wildcard-match";
 
 /// Enums whose matches must stay exhaustive variant-by-variant.
-const CRITICAL_ENUMS: [&str; 4] = ["IoError", "FaultEvent", "TracePoint", "ReadSource"];
+const CRITICAL_ENUMS: [&str; 3] = ["IoError", "FaultEvent", "ReadSource"];
 
 /// The critical enum named by a path in this pattern range, if any.
 fn critical_enum(toks: &[Token], range: (usize, usize)) -> Option<&'static str> {

@@ -33,7 +33,7 @@ use std::collections::{BTreeMap, BTreeSet};
 
 use cluster::{Cluster, ClusterConfig, ClusterMap, DataPlane};
 use raidx_core::{Arch, FaultSet, Layout};
-use sim_core::trace::{AccessKind, TracePoint, Tracer};
+use sim_core::trace::{AccessKind, TraceEvent, Tracer};
 use sim_core::{hb, Engine, SimTime};
 use sim_net::PartitionMap;
 
@@ -91,7 +91,7 @@ pub struct IoSystem {
     pub(crate) timeouts: u64,
     /// Requests that failed over to a replica after a timeout.
     pub(crate) failovers: u64,
-    /// Optional observer of protocol-level [`TracePoint::Access`] events
+    /// Optional observer of protocol-level [`TraceEvent::Access`] events
     /// (lock grants/releases, SIOS reads/writes, OSM image surrenders).
     /// `None` keeps every emission site a single branch — the same
     /// zero-cost-when-disabled guarantee the engine's tracer gives.
@@ -177,7 +177,7 @@ impl IoSystem {
         SimTime(t)
     }
 
-    /// Emit one `Access` trace point if a tracer is installed.
+    /// Emit one `Access` trace event if a tracer is installed.
     pub(crate) fn trace_access(
         &mut self,
         at: SimTime,
@@ -187,7 +187,7 @@ impl IoSystem {
         kind: AccessKind,
     ) {
         if let Some(tr) = self.tracer.as_mut() {
-            tr.record(at, TracePoint::Access { task: actor, cell, len, kind });
+            tr.record(at, TraceEvent::Access { task: actor, cell, len, kind });
         }
     }
 

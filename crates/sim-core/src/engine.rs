@@ -10,10 +10,10 @@ use std::collections::{BinaryHeap, HashMap};
 
 use crate::demand::Demand;
 use crate::plan::{BarrierId, Plan};
-use crate::prof::{EngineStats, HostProfiler, Phase};
+use crate::prof::{EngineStats, HostProfiler, Observer, Phase};
 use crate::resource::{Pending, ResourceId, ResourceSlot, ResourceStats, ServiceModel};
 use crate::time::{SimDuration, SimTime};
-use crate::trace::{TracePoint, Tracer};
+use crate::trace::{DemandKind, TraceEvent, Tracer};
 use crate::validate::{lint_jobs, lint_plan, PlanContext, PlanError, Strictness};
 
 /// Opaque handle to a spawned foreground job.
@@ -152,16 +152,10 @@ pub struct Engine {
     live_foreground: usize,
     live_total: usize,
     foreground_end: SimTime,
-    /// Optional observer of engine events; `None` keeps every emission
-    /// site a single branch (the zero-cost-when-disabled guarantee).
-    tracer: Option<Box<dyn Tracer>>,
-    /// Deterministic lifetime work counters (always on — plain integer
-    /// bumps on paths that already touch the counted structures).
-    stats: EngineStats,
-    /// Optional host wall-clock profiler; same zero-cost-when-disabled
-    /// `Option<Box<...>>` pattern as the tracer. Host time observed here
-    /// never feeds back into simulated time.
-    prof: Option<Box<HostProfiler>>,
+    /// Work counters, optional tracer and optional host profiler. An
+    /// absent tracer or profiler keeps every hook a single branch, and
+    /// host time observed here never feeds back into simulated time.
+    obs: Observer,
 }
 
 impl Default for Engine {
@@ -185,9 +179,7 @@ impl Engine {
             live_foreground: 0,
             live_total: 0,
             foreground_end: SimTime::ZERO,
-            tracer: None,
-            stats: EngineStats::default(),
-            prof: None,
+            obs: Observer::default(),
         }
     }
 
@@ -195,12 +187,12 @@ impl Engine {
     /// (replacing any previous one). See [`crate::trace`] for the event
     /// model; [`crate::trace::EventLog`] is the stock recorder.
     pub fn set_tracer(&mut self, tracer: Box<dyn Tracer>) {
-        self.tracer = Some(tracer);
+        self.obs.tracer = Some(tracer);
     }
 
     /// Remove and return the installed tracer, restoring no-op tracing.
     pub fn clear_tracer(&mut self) -> Option<Box<dyn Tracer>> {
-        self.tracer.take()
+        self.obs.tracer.take()
     }
 
     /// Deterministic lifetime work counters: events dispatched, heap
@@ -208,7 +200,7 @@ impl Engine {
     /// queue-scan iterations, tracer dispatches. Always collected (no
     /// profiler needed), identical across hosts for the same workload.
     pub fn stats(&self) -> &EngineStats {
-        &self.stats
+        &self.obs.stats
     }
 
     /// Install a [`HostProfiler`] that attributes host wall time to
@@ -216,13 +208,13 @@ impl Engine {
     /// observed by the profiler is advisory and can never influence
     /// simulated time or results.
     pub fn set_profiler(&mut self, prof: HostProfiler) {
-        self.prof = Some(Box::new(prof));
+        self.obs.prof = Some(Box::new(prof));
     }
 
     /// Remove and return the installed profiler (its report snapshots
     /// the attribution accumulated so far).
     pub fn take_profiler(&mut self) -> Option<Box<HostProfiler>> {
-        self.prof.take()
+        self.obs.prof.take()
     }
 
     /// Current simulated time.
@@ -307,11 +299,10 @@ impl Engine {
         }
         let job = JobId(u32::try_from(self.jobs.len()).expect("too many jobs")); // lint-ok(no-unwrap): u32 job-id space is a sim capacity invariant
         self.jobs.push(JobRecord { label: label.into(), start, end: None });
-        if let Some(tr) = self.tracer.as_mut() {
-            let label = self.jobs[job.0 as usize].label.as_str();
-            tr.record(start, TracePoint::JobSpawned { job, label });
-            self.stats.on_tracer_records(1);
-        }
+        self.obs.emit(start, || TraceEvent::JobSpawned {
+            job: job.0,
+            label: self.jobs[job.index()].label.clone(),
+        });
         self.live_foreground += 1;
         let tid = self.new_task(plan, None, Some(job), false);
         self.schedule(start, EventKind::StartJob(tid));
@@ -353,17 +344,12 @@ impl Engine {
     fn dispatch(&mut self, ev: Event) {
         debug_assert!(ev.time >= self.now, "time went backwards");
         self.now = ev.time;
-        self.stats.on_event();
-        if let Some(p) = self.prof.as_mut() {
-            p.event_begin();
-        }
+        self.obs.event_begin();
         match ev.kind {
             EventKind::Resume(task) | EventKind::StartJob(task) => self.advance(task),
             EventKind::ResourceDone(r) => self.resource_done(r),
         }
-        if let Some(p) = self.prof.as_mut() {
-            p.event_end();
-        }
+        self.obs.event_end();
     }
 
     /// Multiply every *subsequent* service time on `id` by `factor`
@@ -412,7 +398,7 @@ impl Engine {
         let seq = self.seq;
         self.seq += 1;
         self.events.push(Reverse(Event { time, seq, kind }));
-        self.stats.on_heap_push(self.events.len());
+        self.obs.stats.on_heap_push(self.events.len());
     }
 
     fn new_task(
@@ -422,9 +408,7 @@ impl Engine {
         job: Option<JobId>,
         detached: bool,
     ) -> TaskId {
-        if let Some(p) = self.prof.as_mut() {
-            p.enter(Phase::TaskMgmt);
-        }
+        self.obs.enter(Phase::TaskMgmt);
         self.live_total += 1;
         let task = Task {
             frames: vec![Frame::Seq(vec![plan].into_iter())],
@@ -434,28 +418,21 @@ impl Engine {
             detached,
         };
         let tid = if let Some(idx) = self.free_tasks.pop() {
-            self.stats.on_task_spawn(false);
+            self.obs.stats.on_task_spawn(false);
             self.tasks[idx as usize] = Some(task);
             TaskId(idx)
         } else {
-            self.stats.on_task_spawn(true);
+            self.obs.stats.on_task_spawn(true);
             let idx = u32::try_from(self.tasks.len()).expect("too many tasks"); // lint-ok(no-unwrap): u32 task-id space is a sim capacity invariant
             self.tasks.push(Some(task));
             TaskId(idx)
         };
-        if let Some(tr) = self.tracer.as_mut() {
-            if let Some(p) = self.prof.as_mut() {
-                p.enter(Phase::Tracer);
-            }
-            tr.record(self.now, TracePoint::TaskSpawned { task: tid, parent, detached });
-            self.stats.on_tracer_records(1);
-            if let Some(p) = self.prof.as_mut() {
-                p.exit();
-            }
-        }
-        if let Some(p) = self.prof.as_mut() {
-            p.exit();
-        }
+        self.obs.emit(self.now, || TraceEvent::TaskSpawned {
+            task: tid.0,
+            parent: parent.map(|p| p.0),
+            detached,
+        });
+        self.obs.exit();
         tid
     }
 
@@ -523,28 +500,19 @@ impl Engine {
                         for w in waiters {
                             self.schedule(self.now, EventKind::Resume(w));
                         }
-                        if let Some(tr) = self.tracer.as_mut() {
-                            tr.record(
-                                self.now,
-                                TracePoint::BarrierOpened {
-                                    barrier: id,
-                                    task: tid,
-                                    cycle,
-                                    released,
-                                },
-                            );
-                            self.stats.on_tracer_records(1);
-                        }
+                        self.obs.emit(self.now, || TraceEvent::BarrierOpened {
+                            barrier: id.0,
+                            task: tid.0,
+                            cycle,
+                            released,
+                        });
                         // current task falls through the barrier
                     } else {
                         b.waiting.push(tid);
-                        if let Some(tr) = self.tracer.as_mut() {
-                            tr.record(
-                                self.now,
-                                TracePoint::BarrierWaited { barrier: id, task: tid },
-                            );
-                            self.stats.on_tracer_records(1);
-                        }
+                        self.obs.emit(self.now, || TraceEvent::BarrierWaited {
+                            barrier: id.0,
+                            task: tid.0,
+                        });
                         self.tasks[tid.0 as usize] = Some(task);
                         return;
                     }
@@ -557,35 +525,20 @@ impl Engine {
         // The TaskMgmt span covers completion bookkeeping only; the
         // parent-join advance below recurses and is attributed to the
         // spans its own work opens.
-        if let Some(p) = self.prof.as_mut() {
-            p.enter(Phase::TaskMgmt);
-        }
+        self.obs.enter(Phase::TaskMgmt);
         self.live_total -= 1;
         self.free_tasks.push(tid.0);
-        if let Some(tr) = self.tracer.as_mut() {
-            if let Some(p) = self.prof.as_mut() {
-                p.enter(Phase::Tracer);
-            }
-            tr.record(self.now, TracePoint::TaskFinished { task: tid, detached: task.detached });
-            self.stats.on_tracer_records(1);
-            if let Some(p) = self.prof.as_mut() {
-                p.exit();
-            }
-        }
+        self.obs
+            .emit(self.now, || TraceEvent::TaskFinished { task: tid.0, detached: task.detached });
         if let Some(job) = task.job {
             self.jobs[job.0 as usize].end = Some(self.now);
-            if let Some(tr) = self.tracer.as_mut() {
-                tr.record(self.now, TracePoint::JobFinished { job });
-                self.stats.on_tracer_records(1);
-            }
+            self.obs.emit(self.now, || TraceEvent::JobFinished { job: job.0 });
             self.live_foreground -= 1;
             if self.now > self.foreground_end {
                 self.foreground_end = self.now;
             }
         }
-        if let Some(p) = self.prof.as_mut() {
-            p.exit();
-        }
+        self.obs.exit();
         if let Some(parent) = task.parent {
             let p = self.tasks[parent.0 as usize].as_mut().expect("parent died before child"); // lint-ok(no-unwrap): parent slot outlives children by Par construction
             p.join_remaining -= 1;
@@ -597,7 +550,6 @@ impl Engine {
 
     fn enqueue(&mut self, rid: ResourceId, tid: TaskId, demand: Demand) {
         let now = self.now;
-        let detached = self.tasks[tid.0 as usize].as_ref().is_some_and(|t| t.detached);
         let slot = &mut self.resources[rid.index()];
         let pending = Pending { task: tid, demand, enqueued: now };
         let mut start_at = None;
@@ -612,38 +564,29 @@ impl Engine {
         if depth > slot.stats.max_queue {
             slot.stats.max_queue = depth;
         }
-        if let Some(tr) = self.tracer.as_mut() {
-            if let Some(p) = self.prof.as_mut() {
-                p.enter(Phase::Tracer);
-            }
-            let demand = &pending.demand;
-            tr.record(now, TracePoint::Enqueued { res: rid, task: tid, demand, depth, detached });
-            self.stats.on_tracer_records(1);
-            if let Some(done_at) = start_at {
-                tr.record(
-                    now,
-                    TracePoint::ServiceStarted {
-                        res: rid,
-                        task: tid,
-                        demand,
-                        waited: SimDuration::ZERO,
-                        done_at,
-                        detached,
-                    },
-                );
-                self.stats.on_tracer_records(1);
-            }
-            if let Some(p) = self.prof.as_mut() {
-                p.exit();
-            }
-        }
-        if start_at.is_some() {
+        let d = &pending.demand;
+        self.obs.emit(now, || TraceEvent::Enqueued {
+            res: rid.0,
+            task: tid.0,
+            kind: DemandKind::from(d),
+            bytes: d.bytes(),
+            depth,
+            detached: detached(&self.tasks, tid),
+        });
+        if let Some(done_at) = start_at {
+            self.obs.emit(now, || TraceEvent::ServiceStarted {
+                res: rid.0,
+                task: tid.0,
+                kind: DemandKind::from(d),
+                bytes: d.bytes(),
+                waited_ns: 0,
+                done_at_ns: done_at.as_nanos(),
+                detached: detached(&self.tasks, tid),
+            });
             slot.current = Some(pending);
+            self.schedule(done_at, EventKind::ResourceDone(rid));
         } else {
             slot.queue.push_back(pending);
-        }
-        if let Some(t) = start_at {
-            self.schedule(t, EventKind::ResourceDone(rid));
         }
     }
 
@@ -651,7 +594,13 @@ impl Engine {
         let now = self.now;
         let slot = &mut self.resources[rid.index()];
         let done = slot.current.take().expect("resource-done with idle resource"); // lint-ok(no-unwrap): resource-done events are only queued for busy slots
-        let mut next_done = None;
+        self.obs.emit(now, || TraceEvent::ServiceFinished {
+            res: rid.0,
+            task: done.task.0,
+            kind: DemandKind::from(&done.demand),
+            bytes: done.demand.bytes(),
+            detached: detached(&self.tasks, done.task),
+        });
         let next = if slot.queue.is_empty() {
             None
         } else if slot.queue.len() == 1 {
@@ -659,17 +608,13 @@ impl Engine {
         } else {
             // Let the service model pick (FIFO by default; disks may
             // reorder by offset — SSTF/elevator).
-            if let Some(p) = self.prof.as_mut() {
-                p.enter(Phase::QueueScan);
-            }
-            self.stats.on_queue_scan(slot.queue.len());
+            self.obs.enter(Phase::QueueScan);
+            self.obs.stats.on_queue_scan(slot.queue.len());
             let demands: Vec<&Demand> = slot.queue.iter().map(|p| &p.demand).collect();
             let idx = slot.model.select_next(&demands);
             debug_assert!(idx < slot.queue.len(), "select_next out of range");
             let picked = slot.queue.remove(idx.min(slot.queue.len() - 1));
-            if let Some(p) = self.prof.as_mut() {
-                p.exit();
-            }
+            self.obs.exit();
             picked
         };
         if let Some(next) = next {
@@ -680,60 +625,17 @@ impl Engine {
             slot.stats.ops += 1;
             slot.stats.bytes += next.demand.bytes();
             let done_at = now + st;
-            if let Some(tr) = self.tracer.as_mut() {
-                if let Some(p) = self.prof.as_mut() {
-                    p.enter(Phase::Tracer);
-                }
-                let d_det = self.tasks[done.task.0 as usize].as_ref().is_some_and(|t| t.detached);
-                let n_det = self.tasks[next.task.0 as usize].as_ref().is_some_and(|t| t.detached);
-                tr.record(
-                    now,
-                    TracePoint::ServiceFinished {
-                        res: rid,
-                        task: done.task,
-                        demand: &done.demand,
-                        detached: d_det,
-                    },
-                );
-                tr.record(
-                    now,
-                    TracePoint::ServiceStarted {
-                        res: rid,
-                        task: next.task,
-                        demand: &next.demand,
-                        waited,
-                        done_at,
-                        detached: n_det,
-                    },
-                );
-                self.stats.on_tracer_records(2);
-                if let Some(p) = self.prof.as_mut() {
-                    p.exit();
-                }
-            }
+            self.obs.emit(now, || TraceEvent::ServiceStarted {
+                res: rid.0,
+                task: next.task.0,
+                kind: DemandKind::from(&next.demand),
+                bytes: next.demand.bytes(),
+                waited_ns: waited.as_nanos(),
+                done_at_ns: done_at.as_nanos(),
+                detached: detached(&self.tasks, next.task),
+            });
             slot.current = Some(next);
-            next_done = Some(done_at);
-        } else if let Some(tr) = self.tracer.as_mut() {
-            if let Some(p) = self.prof.as_mut() {
-                p.enter(Phase::Tracer);
-            }
-            let d_det = self.tasks[done.task.0 as usize].as_ref().is_some_and(|t| t.detached);
-            tr.record(
-                now,
-                TracePoint::ServiceFinished {
-                    res: rid,
-                    task: done.task,
-                    demand: &done.demand,
-                    detached: d_det,
-                },
-            );
-            self.stats.on_tracer_records(1);
-            if let Some(p) = self.prof.as_mut() {
-                p.exit();
-            }
-        }
-        if let Some(t) = next_done {
-            self.schedule(t, EventKind::ResourceDone(rid));
+            self.schedule(done_at, EventKind::ResourceDone(rid));
         }
         self.advance(done.task);
     }
@@ -753,6 +655,11 @@ impl Engine {
             self.live_foreground
         )
     }
+}
+
+/// Is `tid` a live detached task? Looked up only to build trace events.
+fn detached(tasks: &[Option<Task>], tid: TaskId) -> bool {
+    tasks[tid.index()].as_ref().is_some_and(|t| t.detached)
 }
 
 #[cfg(test)]

@@ -65,7 +65,5 @@ pub use prof::{EngineStats, HostProfiler, Phase, PhaseStat, ProfReport};
 pub use resource::{FixedRate, ResourceId, ResourceStats, ServiceModel};
 pub use rng::{fnv1a, SplitMix64, FNV1A_OFFSET};
 pub use time::{SimDuration, SimTime};
-pub use trace::{
-    AccessKind, DemandKind, EventLog, NoopTracer, TimedEvent, TraceEvent, TracePoint, Tracer,
-};
+pub use trace::{AccessKind, DemandKind, EventLog, TimedEvent, TraceEvent, Tracer};
 pub use validate::{PlanContext, PlanError, Strictness};

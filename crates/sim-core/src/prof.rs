@@ -1,7 +1,6 @@
 //! Host-side engine profiling: deterministic work counters plus advisory
-//! wall-clock phase spans.
-//!
-//! Two planes, one module:
+//! wall-clock phase spans, joined with the tracer into the engine's one
+//! observation channel (the private `Observer`).
 //!
 //! * [`EngineStats`] — always-on, machine-independent work counters
 //!   (events popped, heap pushes, queue-scan iterations, task-slot
@@ -12,15 +11,72 @@
 //!   O(n) scan quietly turning O(n²)) without ever trusting a clock.
 //! * [`HostProfiler`] — an opt-in, sampled wall-clock profiler over the
 //!   engine's dispatch phases, installed with
-//!   [`crate::Engine::set_profiler`] using the same `Option<Box<...>>`
-//!   pattern as [`crate::trace::Tracer`] (absent = one predictable
-//!   branch per hook site). Wall-clock numbers are *advisory* only:
-//!   they never feed back into simulated time or results, and this
-//!   module is the single sanctioned home for host clocks in
+//!   [`crate::Engine::set_profiler`]. Wall-clock numbers are *advisory*
+//!   only: they never feed back into simulated time or results, and
+//!   this module is the single sanctioned home for host clocks in
 //!   `sim-core` — every `Instant` use below carries a `det-ok`
 //!   acknowledgement for the determinism scans.
+//! * `Observer` — the stats, the optional [`crate::trace::Tracer`] and
+//!   the optional profiler (absent = one branch per hook site). Every
+//!   engine trace record and profiler span goes through it.
 
 use std::time::Instant;
+
+use crate::time::SimTime;
+use crate::trace::{TraceEvent, Tracer};
+
+/// The engine's one observation channel (see the module docs).
+#[derive(Default)]
+pub(crate) struct Observer {
+    pub(crate) stats: EngineStats,
+    pub(crate) tracer: Option<Box<dyn Tracer>>,
+    pub(crate) prof: Option<Box<HostProfiler>>,
+}
+
+impl Observer {
+    /// Record `make()` in a [`Phase::Tracer`] span, if a tracer is installed.
+    pub(crate) fn emit(&mut self, at: SimTime, make: impl FnOnce() -> TraceEvent) {
+        if let Some(tr) = self.tracer.as_mut() {
+            if let Some(p) = self.prof.as_mut() {
+                p.enter(Phase::Tracer);
+            }
+            tr.record(at, make());
+            self.stats.on_tracer_records(1);
+            if let Some(p) = self.prof.as_mut() {
+                p.exit();
+            }
+        }
+    }
+
+    /// Count one dispatched event and open the profiler's event bracket.
+    pub(crate) fn event_begin(&mut self) {
+        self.stats.on_event();
+        if let Some(p) = self.prof.as_mut() {
+            p.event_begin();
+        }
+    }
+
+    /// Close the profiler's event bracket.
+    pub(crate) fn event_end(&mut self) {
+        if let Some(p) = self.prof.as_mut() {
+            p.event_end();
+        }
+    }
+
+    /// Open a profiler span (no-op without a profiler).
+    pub(crate) fn enter(&mut self, phase: Phase) {
+        if let Some(p) = self.prof.as_mut() {
+            p.enter(phase);
+        }
+    }
+
+    /// Close the innermost profiler span (no-op without a profiler).
+    pub(crate) fn exit(&mut self) {
+        if let Some(p) = self.prof.as_mut() {
+            p.exit();
+        }
+    }
+}
 
 /// Deterministic lifetime work counters of one [`crate::Engine`].
 ///

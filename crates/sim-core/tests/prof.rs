@@ -4,7 +4,9 @@
 //! to an unprofiled one).
 
 use sim_core::plan::{par, seq, use_res};
-use sim_core::{Demand, Engine, EngineStats, FixedRate, HostProfiler, Phase, SimDuration, SimTime};
+use sim_core::{
+    Demand, Engine, EngineStats, EventLog, FixedRate, HostProfiler, Phase, SimDuration, SimTime,
+};
 
 fn busy(us: u64) -> Demand {
     Demand::Busy(SimDuration::from_micros(us))
@@ -177,4 +179,21 @@ fn profiled_engine_run_produces_attribution() {
     assert_eq!(r.phases.len(), 4);
     // End of run: RunReport end is unaffected by how long the host took.
     assert_eq!(e.now(), SimTime(e.now().0));
+}
+
+#[test]
+fn every_traced_record_inside_run_gets_a_tracer_span() {
+    let mut e = Engine::new();
+    e.set_tracer(Box::new(EventLog::new()));
+    e.set_profiler(HostProfiler::new());
+    workload(&mut e);
+    e.run().unwrap();
+    let records = e.stats().tracer_records;
+    let r = e.take_profiler().expect("profiler installed").report();
+    let tracer = r.phases.iter().find(|p| p.phase == "tracer").unwrap();
+    // Spawning a job records one JobSpawned and one root TaskSpawned
+    // outside `run`, where no event is being profiled; every record
+    // emitted inside `run` gets exactly one span of its own.
+    let jobs = e.jobs().len() as u64;
+    assert_eq!(tracer.entries, records - 2 * jobs, "{records} records, {jobs} jobs, {r:?}");
 }

@@ -226,7 +226,7 @@ pub fn run_pass() -> PassReport {
 mod tests {
     use super::*;
     use sim_core::plan::use_res;
-    use sim_core::trace::{TracePoint, Tracer};
+    use sim_core::trace::{TraceEvent, Tracer};
     use sim_core::{Demand, Engine, FixedRate, SimTime};
 
     #[test]
@@ -286,8 +286,8 @@ mod tests {
     }
 
     impl Tracer for JitterTracer {
-        fn record(&mut self, at: SimTime, point: TracePoint<'_>) {
-            let owned = TimedEvent { at, event: sim_core::TraceEvent::from_point(point) };
+        fn record(&mut self, at: SimTime, event: TraceEvent) {
+            let owned = TimedEvent { at, event };
             self.count += 1;
             let mut out = self.out.lock().expect("jitter buffer");
             if let Some(held) = self.held.take() {

@@ -13,6 +13,12 @@ cargo clippy --workspace --all-targets -- -D warnings
 echo "==> cargo test (workspace)"
 cargo test --workspace -q
 
+echo "==> raidbench build (benchmark workspace against the current crates)"
+# raidbench is its own workspace with path dependencies on the simulator
+# crates, so the workspace stages above never compile it; a public API
+# change that breaks the benchmark fails here instead.
+cargo build --release --offline --manifest-path raidbench/Cargo.toml
+
 echo "==> trace_dump --smoke (trace/metrics export self-check)"
 cargo run --release -p bench --bin trace_dump -- --smoke
 

@@ -91,10 +91,15 @@ impl PartialOrd for Event {
 }
 
 enum Frame {
+    /// A task's root plan, held inline so a spawn allocates nothing;
+    /// `None` once taken.
+    Root(Option<Plan>),
     Seq(std::vec::IntoIter<Plan>),
 }
 
 struct Task {
+    /// Stack of plans being walked; empty when the task is done, and
+    /// then returned to `free_tasks` with the task's slot.
     frames: Vec<Frame>,
     parent: Option<TaskId>,
     /// Outstanding `Par` children; the task resumes when this hits zero.
@@ -146,7 +151,9 @@ pub struct Engine {
     events: BinaryHeap<Reverse<Event>>,
     resources: Vec<ResourceSlot>,
     tasks: Vec<Option<Task>>,
-    free_tasks: Vec<u32>,
+    /// Free task slots, each with the empty frame stack its last task
+    /// left behind; a spawn reuses both instead of allocating.
+    free_tasks: Vec<(u32, Vec<Frame>)>,
     barriers: HashMap<BarrierId, BarrierState>,
     jobs: Vec<JobRecord>,
     live_foreground: usize,
@@ -197,8 +204,9 @@ impl Engine {
 
     /// Deterministic lifetime work counters: events dispatched, heap
     /// pushes and peak population, task spawns and slot allocations,
-    /// queue-scan iterations, tracer dispatches. Always collected (no
-    /// profiler needed), identical across hosts for the same workload.
+    /// demands scanned by reordering models (FIFO resources never scan),
+    /// tracer dispatches. Always collected (no profiler needed),
+    /// identical across hosts for the same workload.
     pub fn stats(&self) -> &EngineStats {
         &self.obs.stats
     }
@@ -410,23 +418,18 @@ impl Engine {
     ) -> TaskId {
         self.obs.enter(Phase::TaskMgmt);
         self.live_total += 1;
-        let task = Task {
-            frames: vec![Frame::Seq(vec![plan].into_iter())],
-            parent,
-            join_remaining: 0,
-            job,
-            detached,
-        };
-        let tid = if let Some(idx) = self.free_tasks.pop() {
+        let (idx, mut frames) = if let Some(free) = self.free_tasks.pop() {
             self.obs.stats.on_task_spawn(false);
-            self.tasks[idx as usize] = Some(task);
-            TaskId(idx)
+            free
         } else {
             self.obs.stats.on_task_spawn(true);
             let idx = u32::try_from(self.tasks.len()).expect("too many tasks"); // lint-ok(no-unwrap): u32 task-id space is a sim capacity invariant
-            self.tasks.push(Some(task));
-            TaskId(idx)
+            self.tasks.push(None);
+            (idx, Vec::new())
         };
+        frames.push(Frame::Root(Some(plan)));
+        self.tasks[idx as usize] = Some(Task { frames, parent, join_remaining: 0, job, detached });
+        let tid = TaskId(idx);
         self.obs.emit(self.now, || TraceEvent::TaskSpawned {
             task: tid.0,
             parent: parent.map(|p| p.0),
@@ -445,6 +448,7 @@ impl Engine {
                     self.finish_task(tid, task);
                     return;
                 }
+                Some(Frame::Root(p)) => p.take(),
                 Some(Frame::Seq(it)) => it.next(),
             };
             match next {
@@ -521,13 +525,13 @@ impl Engine {
         }
     }
 
-    fn finish_task(&mut self, tid: TaskId, task: Task) {
+    fn finish_task(&mut self, tid: TaskId, mut task: Task) {
         // The TaskMgmt span covers completion bookkeeping only; the
         // parent-join advance below recurses and is attributed to the
         // spans its own work opens.
         self.obs.enter(Phase::TaskMgmt);
         self.live_total -= 1;
-        self.free_tasks.push(tid.0);
+        self.free_tasks.push((tid.0, std::mem::take(&mut task.frames)));
         self.obs
             .emit(self.now, || TraceEvent::TaskFinished { task: tid.0, detached: task.detached });
         if let Some(job) = task.job {
@@ -601,13 +605,11 @@ impl Engine {
             bytes: done.demand.bytes(),
             detached: detached(&self.tasks, done.task),
         });
-        let next = if slot.queue.is_empty() {
-            None
-        } else if slot.queue.len() == 1 {
+        let next = if slot.queue.len() < 2 || !slot.model.reorders() {
             slot.queue.pop_front()
         } else {
-            // Let the service model pick (FIFO by default; disks may
-            // reorder by offset — SSTF/elevator).
+            // Only a reordering model (a disk under SSTF or elevator)
+            // is shown the queue; every other resource serves FIFO.
             self.obs.enter(Phase::QueueScan);
             self.obs.stats.on_queue_scan(slot.queue.len());
             let demands: Vec<&Demand> = slot.queue.iter().map(|p| &p.demand).collect();
@@ -847,6 +849,9 @@ mod tests {
             fn service_time(&mut self, demand: &Demand, _now: SimTime) -> SimDuration {
                 SimDuration::from_micros(demand.bytes().max(1))
             }
+            fn reorders(&self) -> bool {
+                true
+            }
             fn select_next(&mut self, pending: &[&Demand]) -> usize {
                 pending
                     .iter()
@@ -858,15 +863,18 @@ mod tests {
         }
         let mut e = Engine::new();
         let r = e.add_resource("d", Box::new(LargestFirst));
-        // Jobs arrive in size order 1, 5, 3 (bytes). The first grabs the
-        // resource; afterwards service order must be 5 then 3.
+        // Jobs arrive in size order 1, 3, 5 (bytes). The first grabs the
+        // resource; afterwards service order must be 5 then 3, against
+        // arrival order.
         let j1 = e.spawn_job("a", crate::plan::use_res(r, Demand::NetXfer { bytes: 1 }));
-        let j5 = e.spawn_job("b", crate::plan::use_res(r, Demand::NetXfer { bytes: 5 }));
-        let j3 = e.spawn_job("c", crate::plan::use_res(r, Demand::NetXfer { bytes: 3 }));
+        let j3 = e.spawn_job("b", crate::plan::use_res(r, Demand::NetXfer { bytes: 3 }));
+        let j5 = e.spawn_job("c", crate::plan::use_res(r, Demand::NetXfer { bytes: 5 }));
         e.run().unwrap();
         let end = |j: JobId| e.jobs()[j.0 as usize].end.unwrap();
         assert!(end(j1) < end(j5), "first-come starts first");
         assert!(end(j5) < end(j3), "largest pending served before smaller");
+        // One pick from a two-deep queue; the last demand pops alone.
+        assert_eq!(e.stats().queue_scan_iters, 2, "reordering picks are counted scans");
     }
 
     #[test]
@@ -933,5 +941,27 @@ mod tests {
         }
         e.run().unwrap();
         assert_eq!(e.tasks.len(), before);
+    }
+
+    #[test]
+    fn par_batches_reuse_slots_and_frame_stacks() {
+        let mut e = Engine::new();
+        let r = e.add_resource("d", Box::new(FixedRate::per_op(SimDuration::ZERO)));
+        let batch = |e: &mut Engine| {
+            e.spawn_job("batch", par((0..1000).map(|_| use_res(r, busy(1))).collect()));
+            e.run().unwrap();
+        };
+        let stack_capacity =
+            |e: &Engine| e.free_tasks.iter().map(|(_, frames)| frames.capacity()).sum::<usize>();
+        batch(&mut e);
+        let (slots, allocs, capacity) =
+            (e.tasks.len(), e.stats().task_slot_allocs, stack_capacity(&e));
+        assert_eq!(e.free_tasks.len(), slots, "every finished task returns its slot");
+        assert!(capacity >= slots, "each returned frame stack keeps its buffer");
+        batch(&mut e);
+        assert_eq!(e.stats().tasks_spawned, 2 * 1001);
+        assert_eq!(e.stats().task_slot_allocs, allocs, "no new task slots");
+        assert_eq!(e.tasks.len(), slots);
+        assert_eq!(stack_capacity(&e), capacity, "no frame stack grew or was replaced");
     }
 }

@@ -96,7 +96,7 @@ pub struct EngineStats {
     /// Spawns that had to allocate a fresh task slot (the remainder
     /// reused a free-list slot).
     pub task_slot_allocs: u64,
-    /// Pending demands inspected by service-model `select_next` scans.
+    /// Demands shown to `select_next` by reordering models (FIFO: never).
     pub queue_scan_iters: u64,
     /// Individual `Tracer::record` calls dispatched.
     pub tracer_records: u64,
@@ -159,7 +159,7 @@ pub enum Phase {
     Dispatch,
     /// Task spawn, slot allocation/reuse and completion bookkeeping.
     TaskMgmt,
-    /// Service-model `select_next` scans over a resource's queue.
+    /// `select_next` scans over a reordering resource's queue.
     QueueScan,
     /// Dispatching `Tracer::record` observations.
     Tracer,

@@ -24,16 +24,30 @@ impl ResourceId {
 /// Models may be stateful: the engine guarantees `service_time` is invoked in
 /// simulated-time order (the order demands actually reach the head of the
 /// queue), so state such as a disk head position evolves realistically.
+///
+/// The queue discipline is FIFO unless [`ServiceModel::reorders`] says
+/// otherwise: a FIFO resource pops its queue head in O(1) when it frees up,
+/// with no [`ServiceModel::select_next`] call and no scan of the queue.
 pub trait ServiceModel: Send {
     /// Time the resource is busy serving `demand`, starting at `now`.
     fn service_time(&mut self, demand: &Demand, now: SimTime) -> SimDuration;
 
+    /// Whether this model may serve pending demands out of arrival order.
+    ///
+    /// A property of the model, asked whenever the resource frees up with
+    /// two or more demands waiting. The default is `false` (FIFO), and
+    /// then [`ServiceModel::select_next`] is never called. A model that
+    /// overrides `select_next` must also answer `true` here.
+    fn reorders(&self) -> bool {
+        false
+    }
+
     /// Queue discipline: index of the pending demand to serve next.
     ///
-    /// Called whenever the resource finishes a demand and others wait;
-    /// `pending` is in arrival order and never empty. The default is FIFO.
-    /// A disk model can override this to implement SSTF or elevator
-    /// scheduling over the queued offsets.
+    /// Called only on models that [reorder](ServiceModel::reorders),
+    /// whenever the resource finishes a demand and at least two others
+    /// wait; `pending` is in arrival order. A disk model overrides this
+    /// to implement SSTF or elevator scheduling over the queued offsets.
     fn select_next(&mut self, pending: &[&Demand]) -> usize {
         let _ = pending;
         0

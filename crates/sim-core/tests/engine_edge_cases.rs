@@ -2,7 +2,7 @@
 //! Background, Par, Barrier and degenerate plans.
 
 use sim_core::plan::{background, barrier, delay, par, seq, use_res};
-use sim_core::{BarrierId, Demand, Engine, FixedRate, SimDuration, SimTime};
+use sim_core::{BarrierId, Demand, Engine, FixedRate, ServiceModel, SimDuration, SimTime};
 
 fn busy(us: u64) -> Demand {
     Demand::Busy(SimDuration::from_micros(us))
@@ -174,4 +174,30 @@ fn zero_duration_uses_preserve_order() {
     // insertion-ordered events).
     assert_eq!(end(a), SimTime::ZERO);
     assert_eq!(end(b), SimTime::ZERO);
+}
+
+#[test]
+fn fifo_model_serves_in_arrival_order_without_select_next() {
+    // FIFO by default: the engine must pop the queue head itself and
+    // never consult `select_next`.
+    struct NoPick;
+    impl ServiceModel for NoPick {
+        fn service_time(&mut self, _: &Demand, _: SimTime) -> SimDuration {
+            SimDuration::from_micros(10)
+        }
+        fn select_next(&mut self, _: &[&Demand]) -> usize {
+            panic!("select_next called on a FIFO model")
+        }
+    }
+    let mut e = Engine::new();
+    let r = e.add_resource("fifo", Box::new(NoPick));
+    // The first job takes the resource; the other five queue behind it.
+    for i in 0..6 {
+        e.spawn_job(format!("j{i}"), use_res(r, busy(1)));
+    }
+    e.run().unwrap();
+    let ends: Vec<u64> = e.jobs().iter().map(|j| j.end.unwrap().as_nanos()).collect();
+    assert_eq!(ends, (1..=6).map(|k| k * 10_000).collect::<Vec<_>>(), "arrival order");
+    assert_eq!(e.resource_stats(r).max_queue, 6);
+    assert_eq!(e.stats().queue_scan_iters, 0);
 }

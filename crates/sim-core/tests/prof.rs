@@ -5,17 +5,42 @@
 
 use sim_core::plan::{par, seq, use_res};
 use sim_core::{
-    Demand, Engine, EngineStats, EventLog, FixedRate, HostProfiler, Phase, SimDuration, SimTime,
+    Demand, Engine, EngineStats, EventLog, FixedRate, HostProfiler, Phase, ServiceModel,
+    SimDuration, SimTime,
 };
 
 fn busy(us: u64) -> Demand {
     Demand::Busy(SimDuration::from_micros(us))
 }
 
+/// FIFO service that still declares itself reordering, so every pick
+/// from a queue of two or more is a counted `select_next` scan (which
+/// chooses the head).
+struct ScanningFifo(FixedRate);
+
+impl ServiceModel for ScanningFifo {
+    fn service_time(&mut self, demand: &Demand, now: SimTime) -> SimDuration {
+        self.0.service_time(demand, now)
+    }
+
+    fn reorders(&self) -> bool {
+        true
+    }
+}
+
 /// A small contended workload: several jobs racing on one disk (deep
 /// queues force `select_next` scans) plus a second resource for overlap.
 fn workload(e: &mut Engine) {
-    let d = e.add_resource("disk", Box::new(FixedRate::per_op(SimDuration::from_micros(2))));
+    workload_on(e, true);
+}
+
+/// [`workload`] with the disk either scanning its queue (`scan`) or
+/// plain FIFO; both serve in the same order.
+fn workload_on(e: &mut Engine, scan: bool) {
+    let rate = FixedRate::per_op(SimDuration::from_micros(2));
+    let disk: Box<dyn ServiceModel> =
+        if scan { Box::new(ScanningFifo(rate)) } else { Box::new(rate) };
+    let d = e.add_resource("disk", disk);
     let c = e.add_resource("cpu", Box::new(FixedRate::per_op(SimDuration::ZERO)));
     for i in 0..20u64 {
         e.spawn_job(
@@ -50,6 +75,23 @@ fn stats_count_engine_work() {
     let s2 = *e.stats();
     assert!(s2.tasks_spawned >= 2 * s.tasks_spawned - 1, "{s2:?}");
     assert_eq!(s2.task_slot_allocs, allocs_before, "free-list reuse must not allocate: {s2:?}");
+}
+
+#[test]
+fn fifo_resources_never_scan() {
+    let run = |scan: bool| {
+        let mut e = Engine::new();
+        workload_on(&mut e, scan);
+        e.run().unwrap();
+        let ends: Vec<_> = e.jobs().iter().map(|j| j.end).collect();
+        (ends, *e.stats())
+    };
+    let (scan_ends, scan_stats) = run(true);
+    let (fifo_ends, fifo_stats) = run(false);
+    assert!(scan_stats.queue_scan_iters > 0, "{scan_stats:?}");
+    assert_eq!(fifo_stats.queue_scan_iters, 0, "FIFO pops the head without a scan");
+    assert_eq!(fifo_ends, scan_ends, "same service order, same job end times");
+    assert_eq!(fifo_stats, EngineStats { queue_scan_iters: 0, ..scan_stats });
 }
 
 #[test]

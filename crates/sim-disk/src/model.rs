@@ -97,6 +97,11 @@ impl ServiceModel for DiskModel {
         }
     }
 
+    /// Only SSTF and elevator reorder; an FCFS disk pops its queue head.
+    fn reorders(&self) -> bool {
+        self.spec.scheduler != SchedPolicy::Fcfs
+    }
+
     fn select_next(&mut self, pending: &[&Demand]) -> usize {
         match self.spec.scheduler {
             SchedPolicy::Fcfs => 0,
@@ -220,6 +225,13 @@ mod tests {
     }
 
     #[test]
+    fn only_sstf_and_elevator_reorder() {
+        assert!(!with_policy(SchedPolicy::Fcfs).reorders());
+        assert!(with_policy(SchedPolicy::Sstf).reorders());
+        assert!(with_policy(SchedPolicy::Elevator).reorders());
+    }
+
+    #[test]
     fn fcfs_always_picks_head_of_queue() {
         let mut m = with_policy(SchedPolicy::Fcfs);
         let q = [rd(5 << 30), rd(0), rd(1 << 20)];
@@ -275,13 +287,16 @@ mod tests {
                 (3 << 30) + 12288,
             ];
             e.spawn_job("batch", par(offs.iter().map(|&o| use_res(d, rd(o))).collect()));
-            e.run().unwrap().end.as_secs_f64()
+            e.run().unwrap().end.as_nanos()
         };
         let fcfs = run(SchedPolicy::Fcfs);
         let sstf = run(SchedPolicy::Sstf);
         let elevator = run(SchedPolicy::Elevator);
-        assert!(sstf < 0.8 * fcfs, "sstf={sstf:.4} fcfs={fcfs:.4}");
-        assert!(elevator < 0.8 * fcfs, "elevator={elevator:.4} fcfs={fcfs:.4}");
+        assert!(sstf * 10 < 8 * fcfs, "sstf={sstf} fcfs={fcfs}");
+        assert!(elevator * 10 < 8 * fcfs, "elevator={elevator} fcfs={fcfs}");
+        // Exact end times, so neither the FIFO pick nor the reordering
+        // path can drift unnoticed.
+        assert_eq!((fcfs, sstf, elevator), (121_956_113, 20_957_441, 20_957_441));
     }
 
     #[test]

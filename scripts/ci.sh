@@ -19,6 +19,15 @@ echo "==> raidbench build (benchmark workspace against the current crates)"
 # change that breaks the benchmark fails here instead.
 cargo build --release --offline --manifest-path raidbench/Cargo.toml
 
+echo "==> raidbench --selftest (same seed repeats, other seed differs, no failed ops)"
+# Every benchmark workload must repeat its simulated and count metrics
+# under one seed, check every output against the benchmark's shadow
+# model and pass its guards; a change that breaks any of that fails here.
+for w in fig5_trojans scale256_raidx zipf_cached andrew_cfs; do
+    cargo run --release --offline -q --manifest-path raidbench/Cargo.toml -- \
+        --workload "$w" --seed 1 --selftest
+done
+
 echo "==> trace_dump --smoke (trace/metrics export self-check)"
 cargo run --release -p bench --bin trace_dump -- --smoke
 
